@@ -1,7 +1,8 @@
 """Generalized Airy functions: solutions of u^(n) = x u for even n.
 
 Three independent evaluation routes (Taylor series from closed-form
-initial data, oscillatory quadrature, large-|x| asymptotics) plus the
+initial data, quadrature -- the paper's oscillatory head+lump route and
+a saddle-point contour -- and large-|x| asymptotics) plus the
 differential-polynomial chain that turns u^(n)/u into a polynomial in
 the logarithmic derivative y = u'/u and its derivatives.
 """
@@ -52,6 +53,7 @@ from .quadrature import (
     v_pm,
     v_pm_derivative,
 )
+from .contour import v_contour
 from .asymptotics import asympt_neg, asympt_pos, growth_exponent, m_for_order
 
 __version__ = "0.1.0"
@@ -95,6 +97,7 @@ __all__ = [
     "tail_integral",
     "v_pm",
     "v_pm_derivative",
+    "v_contour",
     "asympt_neg",
     "asympt_pos",
     "growth_exponent",

@@ -8,9 +8,17 @@ fn-poly         the n-th differential polynomial of the chain
 verify          self-checks (identity, residual, cross-method, closure)
 asympt-compare  asymptotic form against series/quadrature reference
 
+Point evaluations (eval, table) share one policy, ``_eval_point``:
+``--method quad`` is the saddle-point contour quadrature of
+:mod:`genairy.contour`; ``auto`` takes the series value when its estimate
+is inside half of tol and the contour quadrature otherwise, for every
+finite x.  A non-finite x is a domain error for every method.  The
+paper's head+lump quadrature (:func:`genairy.quadrature.v_pm`) is the
+independent cross-check in verify and the reference of asympt-compare.
+
 Data goes to stdout and is byte-deterministic for a given command line;
-notes and errors go to stderr.  Floats are printed with repr, which
-round-trips binary64 exactly.
+errors go to stderr.  Floats are printed with repr, which round-trips
+binary64 exactly.
 
 Exit codes: 0 success, 1 verification failure, 2 bad usage or domain,
 3 non-convergence.
@@ -21,16 +29,19 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
 
-from . import asymptotics, diffpoly, quadrature, series
+from . import asymptotics, contour, diffpoly, quadrature, series
 from .common import ConvergenceError, DomainError
 
 __all__ = ["main"]
 
 CSV_HEADER = "n,x,method,value,error_estimate"
+
+_NEGATIVE_EXPONENT_FORM = re.compile(r"-(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
 
 _POS_GRID = (6.0, 8.0, 10.0, 12.0)
 _NEG_GRID = (-4.0, -6.0, -8.0, -10.0)
@@ -42,11 +53,10 @@ def _record(n: int, x: float, res) -> str:
 
 def _eval_point(n: int, x: float, method: str, tol: float):
     """Evaluate the canonical solution of u^(n) = x u at x, one method."""
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x!r}")
     if method == "series":
         return series.eval_series(series.taylor_model(n), x, tol=tol)
-    if method == "quad":
-        cfg = quadrature.QuadratureConfig(abs_tol=tol)
-        return quadrature.v_pm(n, series.sign_for(n), x, cfg)
     if method == "asympt":
         m = asymptotics.m_for_order(n)
         if x > 0.0:
@@ -54,23 +64,15 @@ def _eval_point(n: int, x: float, method: str, tol: float):
         if x < 0.0:
             return asymptotics.asympt_neg(m, x)
         raise DomainError("asymptotic forms need x != 0")
-    # auto: series while its tail and cancellation stay inside tol,
-    # quadrature on the moderate range, asymptotic far out
-    try:
-        res = series.eval_series(series.taylor_model(n), x, tol=tol)
-        if res.error_estimate < 0.5 * tol:
-            return res
-    except ConvergenceError:
-        pass
-    if abs(x) <= 20.0:
-        cfg = quadrature.QuadratureConfig(abs_tol=tol)
-        return quadrature.v_pm(n, series.sign_for(n), x, cfg)
-    print(
-        f"note: |x| = {abs(x):g} > 20, falling back to the asymptotic form "
-        "(heuristic error estimate)",
-        file=sys.stderr,
-    )
-    return _eval_point(n, x, "asympt", tol)
+    if method == "auto":
+        # series while its tail and cancellation stay inside tol
+        try:
+            res = series.eval_series(series.taylor_model(n), x, tol=tol)
+            if res.error_estimate < 0.5 * tol:
+                return res
+        except ConvergenceError:
+            pass
+    return contour.v_contour(n, series.sign_for(n), x, tol)
 
 
 def cmd_eval(args) -> int:
@@ -330,6 +332,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a negative number in exponent form ("-1e-05") as an
+    # option name; glue it to the option in front ("--x=-1e-05"), since
+    # every "--" option of this tool takes a value
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1].startswith("--") and _NEGATIVE_EXPONENT_FORM.fullmatch(argv[i]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -138,6 +138,20 @@ def _sum_core(tm: TaylorModel, x: float, deriv: int, tol: float):
     Raises ConvergenceError when the geometric tail bound misses tol.
     """
     n, K = tm.n, tm.K
+    # tail control: the omitted coefficients repeat the block pattern
+    # with block-to-block factor below rho for every index past K
+    jm = K + 1 - n
+    rho = 1.0
+    for l in range(1, n + 1):
+        rho *= abs(x) / (jm + l)
+    rho *= abs(x)
+    if deriv:
+        # derivative weights grow along the tail; inflate the ratio
+        rho *= ((jm + n + 1) / max(jm - deriv, 1)) ** deriv
+    if rho >= 1.0:
+        # refused before the terms are formed, so x ** j cannot overflow
+        raise _tail_refusal(tm, x, deriv, tol)
+
     total = 0.0
     comp = 0.0
     absum = 0.0
@@ -155,8 +169,6 @@ def _sum_core(tm: TaylorModel, x: float, deriv: int, tol: float):
         absum += abs(t)
     value = total + comp
 
-    # tail control: the omitted coefficients repeat the block pattern
-    # with block-to-block factor below rho for every index past K
     first_omitted = 0.0
     block = 0.0
     for i, c in enumerate(tm.tail_block):
@@ -167,20 +179,16 @@ def _sum_core(tm: TaylorModel, x: float, deriv: int, tol: float):
         block += t
         if first_omitted == 0.0:
             first_omitted = t
-    jm = K + 1 - n
-    rho = 1.0
-    for l in range(1, n + 1):
-        rho *= abs(x) / (jm + l)
-    rho *= abs(x)
-    if deriv:
-        # derivative weights grow along the tail; inflate the ratio
-        rho *= ((jm + n + 1) / max(jm - deriv, 1)) ** deriv
-    if rho >= 1.0 or block / (1.0 - rho) > tol:
-        raise ConvergenceError(
-            f"series tail not below tol={tol:g} at x={x:g} "
-            f"(order {n}, K={K}, derivative {deriv})"
-        )
+    if block / (1.0 - rho) > tol:
+        raise _tail_refusal(tm, x, deriv, tol)
     return value, first_omitted, absum
+
+
+def _tail_refusal(tm: TaylorModel, x: float, deriv: int, tol: float) -> ConvergenceError:
+    return ConvergenceError(
+        f"series tail not below tol={tol:g} at x={x:g} "
+        f"(order {tm.n}, K={tm.K}, derivative {deriv})"
+    )
 
 
 def eval_series(tm: TaylorModel, x: float, tol: float = 1e-10) -> EvalResult:

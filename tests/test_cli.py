@@ -1,9 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from genairy import eval_series, taylor_model, v_pm
+from genairy import eval_series, sign_for, taylor_model, v_contour
 from genairy.cli import CSV_HEADER, main
 
 
@@ -35,11 +36,64 @@ def test_method_column_reports_what_ran(capsys):
     assert out.split(",")[2] == "quadrature"
 
 
-def test_auto_far_out_uses_asymptotic_with_note(capsys):
-    rc, out, err = run(capsys, "eval", "--n", "2", "--x", "25.0")
+@pytest.mark.parametrize("x", ["-25.0", "-20.5", "25.0"])
+@pytest.mark.parametrize("n", [2, 4])
+def test_auto_far_out_meets_tol(capsys, oracle, n, x):
+    rc, out, err = run(capsys, "eval", "--n", str(n), f"--x={x}")
     assert rc == 0
-    assert out.split(",")[2] == "asymptotic"
-    assert "asymptotic" in err  # the note goes to stderr, not stdout
+    assert err == ""
+    _, _, method, value, estimate = out.strip().split(",")
+    assert method == "quadrature"
+    assert oracle(n, float(x), float(value)) <= float(estimate) <= 1e-8
+
+
+@pytest.mark.parametrize("method", ["auto", "series", "quad", "asympt"])
+@pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+def test_non_finite_x_is_a_domain_error(capsys, method, x):
+    rc, out, err = run(capsys, "eval", "--n", "2", f"--x={x}", "--method", method)
+    assert rc == 2
+    assert out == ""
+    assert "x must be finite" in err
+
+
+@pytest.mark.parametrize("method", ["auto", "quad"])
+@pytest.mark.parametrize("x", ["1e308", "-1e308"])
+@pytest.mark.parametrize("n", [2, 4])
+def test_huge_x_is_honest_or_refused(capsys, n, x, method):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "eval", "--n", str(n), f"--x={x}", "--method", method)
+    if sign_for(n) * float(x) < 0.0:
+        # oscillatory side: the real segment to the saddle is far too long
+        assert (rc, out) == (3, "")
+        assert "error:" in err
+        return
+    # decaying side: v is far below 1e-300 here
+    assert (rc, err) == (0, "")
+    _, _, method_ran, value, estimate = out.strip().split(",")
+    assert method_ran == "quadrature"
+    assert abs(float(value)) <= float(estimate) <= 1e-8
+
+
+def test_quad_table_meets_tol(capsys, oracle):
+    rc, out, _ = run(
+        capsys, "table", "--n", "6", "--x-min", "0", "--x-max", "2", "--steps", "8",
+        "--method", "quad", "--tol", "1e-10",
+    )
+    assert rc == 0
+    for line in out.strip().splitlines()[1:]:
+        _, x, _, value, estimate = line.split(",")
+        assert oracle(6, float(x), float(value)) <= float(estimate) <= 1e-10
+
+
+@pytest.mark.parametrize("x", ["-2.5e-05", "-1E+2", "-.5e1"])
+def test_negative_exponent_form_is_a_value(capsys, x):
+    rc, out, _ = run(capsys, "eval", "--n", "2", "--x", x)
+    assert rc == 0
+    assert float(out.split(",")[1]) == float(x)
+    rc, out, _ = run(capsys, "table", "--n", "2", "--x-min", x, "--x-max", "1.0", "--steps", "1")
+    assert rc == 0
+    assert float(out.splitlines()[1].split(",")[1]) == float(x)
 
 
 def test_exit_code_domain_error(capsys):
@@ -224,12 +278,18 @@ def test_repr_round_trip_of_csv_fields():
 
 def test_csv_round_trip_through_cli(capsys):
     rc, out, _ = run(
-        capsys, "table", "--n", "2", "--x-min", "-3.0", "--x-max", "3.0", "--steps", "12"
+        capsys, "table", "--n", "2", "--x-min", "-12.0", "--x-max", "12.0", "--steps", "24"
     )
     assert rc == 0
     tm = taylor_model(2)
+    methods = set()
     for line in out.strip().splitlines()[1:]:
         _, x, method, value, estimate = line.split(",")
-        res = eval_series(tm, float(x)) if method == "series" else v_pm(2, 1, float(x))
+        methods.add(method)
+        if method == "series":
+            res = eval_series(tm, float(x))
+        else:
+            res = v_contour(2, 1, float(x), 1e-8)  # the CLI's engine at its default tol
         assert float(value) == res.value
         assert float(estimate) == res.error_estimate
+    assert methods == {"series", "quadrature"}
