@@ -5,6 +5,7 @@ initial data, quadrature -- the paper's oscillatory head+lump route and
 a saddle-point contour -- and large-|x| asymptotics) plus the
 differential-polynomial chain that turns u^(n)/u into a polynomial in
 the logarithmic derivative y = u'/u and its derivatives.
+:func:`solution` is the one evaluation policy, behind the command line.
 """
 
 from .common import (
@@ -43,7 +44,6 @@ from .series import (
 )
 from .quadrature import (
     OscillatoryIntegrand,
-    QuadratureConfig,
     cutoff_T,
     head_integral,
     half_period_lumps,
@@ -54,6 +54,7 @@ from .quadrature import (
     v_pm_derivative,
 )
 from .contour import v_contour
+from .dispatch import solution
 from .asymptotics import asympt_neg, asympt_pos, growth_exponent, m_for_order
 
 __version__ = "0.1.0"
@@ -88,7 +89,6 @@ __all__ = [
     "taylor_coefficients",
     "taylor_model",
     "OscillatoryIntegrand",
-    "QuadratureConfig",
     "cutoff_T",
     "head_integral",
     "half_period_lumps",
@@ -98,6 +98,7 @@ __all__ = [
     "v_pm",
     "v_pm_derivative",
     "v_contour",
+    "solution",
     "asympt_neg",
     "asympt_pos",
     "growth_exponent",

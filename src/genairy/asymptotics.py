@@ -11,14 +11,15 @@ CLI labels them report-only.  The m = 1 case is the anchored, tested
 regime.
 
 Error estimates are heuristics (next-order-correction guesses), not
-bounds.
+bounds.  Where the phase scale, the value or the estimate is not finite
+the forms raise ConvergenceError.
 """
 
 from __future__ import annotations
 
 import math
 
-from .common import DomainError, EvalResult
+from .common import ConvergenceError, DomainError, EvalResult, check_even_order
 
 __all__ = ["m_for_order", "growth_exponent", "asympt_pos", "asympt_neg"]
 
@@ -31,15 +32,19 @@ def _check_m(m) -> int:
 
 def m_for_order(n: int) -> int:
     """Half the (even) equation order: u^(n) = x u corresponds to m = n/2."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2 or n % 2:
-        raise DomainError(f"order must be an even integer >= 2, got {n!r}")
-    return n // 2
+    return check_even_order(n) // 2
 
 
 def growth_exponent(m: int, x: float) -> float:
-    """alpha = (2m/(2m+1)) |x|^((2m+1)/(2m)), the phase/decay scale."""
+    """alpha = (2m/(2m+1)) |x|^((2m+1)/(2m)), the phase/decay scale.
+
+    Raises ConvergenceError where alpha is not finite.
+    """
     m = _check_m(m)
-    return 2 * m / (2 * m + 1) * abs(x) ** ((2 * m + 1) / (2 * m))
+    alpha = 2 * m / (2 * m + 1) * _pow(abs(x), (2 * m + 1) / (2 * m))
+    if not math.isfinite(alpha):
+        raise ConvergenceError(f"asymptotic phase scale is not finite at x={x!r} (m={m})")
+    return alpha
 
 
 def _exp(a: float) -> float:
@@ -47,6 +52,21 @@ def _exp(a: float) -> float:
         return math.exp(a)
     except OverflowError:
         return math.inf
+
+
+def _pow(a: float, p: float) -> float:
+    try:
+        return a**p
+    except OverflowError:
+        return math.inf
+
+
+def _result(m: int, x: float, value: float, estimate: float) -> EvalResult:
+    if not (math.isfinite(value) and math.isfinite(estimate)):
+        raise ConvergenceError(
+            f"asymptotic form (m={m}) or its estimate is not finite at x={x!r}"
+        )
+    return EvalResult(value=value, error_estimate=estimate, method="asymptotic")
 
 
 def asympt_pos(m: int, x: float) -> EvalResult:
@@ -61,11 +81,7 @@ def asympt_pos(m: int, x: float) -> EvalResult:
     alpha = growth_exponent(m, x)
     value = _exp(-alpha) / (math.sqrt(math.pi) * math.sqrt(4.0 * m) * x ** ((2 * m - 1) / (4 * m)))
     # heuristic: the first neglected correction is O(x^-(2m+1)/(2m)) relative
-    return EvalResult(
-        value=value,
-        error_estimate=abs(value) * x ** (-(2 * m + 1) / (2 * m)),
-        method="asymptotic",
-    )
+    return _result(m, x, value, abs(value) * _pow(x, -(2 * m + 1) / (2 * m)))
 
 
 def asympt_neg(m: int, x: float) -> EvalResult:
@@ -93,8 +109,4 @@ def asympt_neg(m: int, x: float) -> EvalResult:
         total += grow * math.sin(alpha * math.sin(theta) + (1 + 2 * k) * math.pi / (4 * m))
         envelope += grow
     # heuristic: one inverse power of the phase scale off the envelope
-    return EvalResult(
-        value=pref * total,
-        error_estimate=pref * envelope / max(alpha, 1.0),
-        method="asymptotic",
-    )
+    return _result(m, x, pref * total, pref * envelope / max(alpha, 1.0))

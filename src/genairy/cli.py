@@ -6,15 +6,15 @@ eval            one point, one record
 table           a grid of points, CSV or JSON
 fn-poly         the n-th differential polynomial of the chain
 verify          self-checks (identity, residual, cross-method, closure)
-asympt-compare  asymptotic form against series/quadrature reference
+asympt-compare  asymptotic form against a contour-quadrature reference
 
-Point evaluations (eval, table) share one policy, ``_eval_point``:
-``--method quad`` is the saddle-point contour quadrature of
-:mod:`genairy.contour`; ``auto`` takes the series value when its estimate
-is inside half of tol and the contour quadrature otherwise, for every
-finite x.  A non-finite x is a domain error for every method.  The
-paper's head+lump quadrature (:func:`genairy.quadrature.v_pm`) is the
-independent cross-check in verify and the reference of asympt-compare.
+eval, table and asympt-compare print values of
+:func:`genairy.dispatch.solution`, the library's one evaluation policy;
+``--method`` picks one of its methods.  asympt-compare sets the
+asymptotic form (``method="asympt"``) against the contour quadrature at
+tol 1e-10 (``method="quad"``).  The paper's head+lump quadrature
+(:func:`genairy.quadrature.v_pm`) is the independent cross-check in
+verify.  This module only parses arguments and formats output.
 
 Data goes to stdout and is byte-deterministic for a given command line;
 errors go to stderr.  Floats are printed with repr, which round-trips
@@ -34,8 +34,9 @@ import sys
 
 import numpy as np
 
-from . import asymptotics, contour, diffpoly, quadrature, series
+from . import diffpoly, quadrature, series
 from .common import ConvergenceError, DomainError
+from .dispatch import METHODS, solution
 
 __all__ = ["main"]
 
@@ -51,32 +52,8 @@ def _record(n: int, x: float, res) -> str:
     return f"{n},{x!r},{res.method},{res.value!r},{res.error_estimate!r}"
 
 
-def _eval_point(n: int, x: float, method: str, tol: float):
-    """Evaluate the canonical solution of u^(n) = x u at x, one method."""
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x!r}")
-    if method == "series":
-        return series.eval_series(series.taylor_model(n), x, tol=tol)
-    if method == "asympt":
-        m = asymptotics.m_for_order(n)
-        if x > 0.0:
-            return asymptotics.asympt_pos(m, x)
-        if x < 0.0:
-            return asymptotics.asympt_neg(m, x)
-        raise DomainError("asymptotic forms need x != 0")
-    if method == "auto":
-        # series while its tail and cancellation stay inside tol
-        try:
-            res = series.eval_series(series.taylor_model(n), x, tol=tol)
-            if res.error_estimate < 0.5 * tol:
-                return res
-        except ConvergenceError:
-            pass
-    return contour.v_contour(n, series.sign_for(n), x, tol)
-
-
 def cmd_eval(args) -> int:
-    res = _eval_point(args.n, args.x, args.method, args.tol)
+    res = solution(args.n, args.x, method=args.method, tol=args.tol)
     print(_record(args.n, args.x, res))
     return 0
 
@@ -99,13 +76,13 @@ def cmd_table(args) -> int:
     if args.format == "csv":
         print(CSV_HEADER)
         for x in xs:
-            res = _eval_point(args.n, x, args.method, args.tol)
+            res = solution(args.n, x, method=args.method, tol=args.tol)
             print(_record(args.n, x, res))
             sys.stdout.flush()
     else:
         rows = []
         for x in xs:
-            res = _eval_point(args.n, x, args.method, args.tol)
+            res = solution(args.n, x, method=args.method, tol=args.tol)
             rows.append(
                 {
                     "n": args.n,
@@ -198,23 +175,14 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _reference(n: int, x: float):
-    """Series value when cancellation stays below 1e-3 relative, else
-    quadrature; the two cross-check each other elsewhere."""
-    try:
-        res = series.eval_series(series.taylor_model(n), x)
-        if res.error_estimate <= 1e-3 * abs(res.value):
-            return res
-    except ConvergenceError:
-        pass
-    return quadrature.v_pm(n, series.sign_for(n), x)
-
-
 def cmd_asympt_compare(args) -> int:
     m = args.m
     n = 2 * m
     if args.x_list is not None:
-        xs = [float(tok) for tok in args.x_list.split(",") if tok.strip()]
+        try:
+            xs = [float(tok) for tok in args.x_list.split(",") if tok.strip()]
+        except ValueError as exc:
+            raise DomainError(f"bad x-list {args.x_list!r}: {exc}") from None
         if not xs:
             raise DomainError("empty x-list")
         bad = [x for x in xs if (x <= 0.0 if args.side == "pos" else x >= 0.0)]
@@ -236,11 +204,10 @@ def cmd_asympt_compare(args) -> int:
                 "deviations below are reported, not asserted"
             )
 
-    form = asymptotics.asympt_pos if args.side == "pos" else asymptotics.asympt_neg
     rows = []
     for x in xs:
-        a = form(m, x)
-        ref = _reference(n, x)
+        a = solution(n, x, method="asympt")
+        ref = solution(n, x, method="quad", tol=1e-10)
         rows.append((x, a.value, ref))
     print("x,asymptotic,reference,ref_method,deviation")
     if args.side == "pos":
@@ -281,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if with_method:
             p.add_argument(
                 "--method",
-                choices=("auto", "series", "quad", "asympt"),
+                choices=METHODS,
                 default="auto",
             )
         p.add_argument(

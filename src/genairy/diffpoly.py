@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .common import DomainError, PoleError
@@ -110,6 +111,11 @@ class Jet:
         return len(self.values)
 
 
+def _jet_values(jet) -> tuple[float, ...]:
+    """The entries of a :class:`Jet` or of any sequence of floats."""
+    return jet.values if isinstance(jet, Jet) else tuple(float(v) for v in jet)
+
+
 def monomial_weight(exps: Sequence[int]) -> int:
     """Isobaric weight: y^{(i)} counts as i + 1."""
     return sum(e * (i + 1) for i, e in enumerate(exps))
@@ -145,8 +151,12 @@ def apply_lift(p: DiffPolynomial) -> DiffPolynomial:
     return DiffPolynomial(out)
 
 
+@lru_cache(maxsize=64, typed=True)
 def f_n(n: int) -> DiffPolynomial:
-    """n-th polynomial of the chain; f_n(u'/u, ...) equals u^{(n)}/u."""
+    """n-th polynomial of the chain; f_n(u'/u, ...) equals u^{(n)}/u.
+
+    Cached: callers share the result and must not mutate it.
+    """
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"chain index must be a positive integer, got {n!r}")
     p = f_one()
@@ -161,7 +171,7 @@ def evaluate(p: DiffPolynomial, jet) -> float:
     ``jet`` may be a :class:`Jet` or any sequence of floats.  The jet must
     be long enough for the highest derivative appearing in p.
     """
-    values = jet.values if isinstance(jet, Jet) else tuple(float(v) for v in jet)
+    values = _jet_values(jet)
     need = p.max_derivative_index() + 1
     if p.terms and len(values) < need:
         raise DomainError(
@@ -221,7 +231,7 @@ def log_derivative_jet(u_jet) -> tuple[float, ...]:
     PoleError
         If u(x0) = 0, where y has a pole.
     """
-    values = u_jet.values if isinstance(u_jet, Jet) else tuple(float(v) for v in u_jet)
+    values = _jet_values(u_jet)
     if len(values) < 2:
         raise DomainError("need at least u and u' to form u'/u")
     if values[0] == 0.0:
@@ -244,7 +254,7 @@ def exp_jet(p_jet) -> tuple[float, ...]:
     Same Taylor-coefficient convolution as :func:`log_derivative_jet`,
     run forward: u' = p' u.
     """
-    pvals = p_jet.values if isinstance(p_jet, Jet) else tuple(float(v) for v in p_jet)
+    pvals = _jet_values(p_jet)
     if not pvals:
         raise DomainError("need at least p(x0) to form exp(p)")
     m = len(pvals) - 1
@@ -263,7 +273,7 @@ def verify_cole_hopf(n: int, u_jet) -> float:
 
     The u-jet must contain at least n + 1 entries.
     """
-    values = u_jet.values if isinstance(u_jet, Jet) else tuple(float(v) for v in u_jet)
+    values = _jet_values(u_jet)
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"chain index must be a positive integer, got {n!r}")
     if len(values) < n + 1:

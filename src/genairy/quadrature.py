@@ -26,7 +26,7 @@ of the test suite rather than an assumption.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .common import ConvergenceError, DomainError, EvalResult, check_even_order
 from .specfun import gamma
 
 __all__ = [
-    "QuadratureConfig",
     "OscillatoryIntegrand",
     "cutoff_T",
     "head_integral",
@@ -47,23 +46,11 @@ __all__ = [
 ]
 
 _EPS = math.ulp(1.0)
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Knobs for the head+tail evaluation.
-
-    abs_tol is split evenly between head and tail.  The head cutoff rule
-    itself is not a knob; see :func:`cutoff_T` and the module docstring.
-    """
-
-    abs_tol: float = 1e-10
-    max_half_periods: int = 200
-    acceleration_depth: int = 12
-    head_panel_budget: int = 10_000
-
-
-DEFAULT_CONFIG = QuadratureConfig()
+# limits of the head+tail evaluation; abs_tol, split evenly between head
+# and tail, is the only setting
+_HEAD_PANEL_BUDGET = 10_000
+_MAX_HALF_PERIODS = 200
+_ACCELERATION_DEPTH = 12
 
 
 @dataclass(frozen=True)
@@ -125,8 +112,8 @@ _CC_W_COARSE = _cc_nodes_weights(8)[1]
 _GL_NODES, _GL_W = np.polynomial.legendre.leggauss(16)
 
 
-def head_integral(f: OscillatoryIntegrand, T: float, cfg: QuadratureConfig = DEFAULT_CONFIG):
-    """Adaptive panel integral of f over [0, T].
+def head_integral(f: OscillatoryIntegrand, T: float, abs_tol: float):
+    """Adaptive panel integral of f over [0, T], to half of abs_tol.
 
     Returns (value, error_estimate); the estimate is the sum of accepted
     fine-vs-coarse panel differences.  Raises ConvergenceError when the
@@ -136,7 +123,7 @@ def head_integral(f: OscillatoryIntegrand, T: float, cfg: QuadratureConfig = DEF
         raise DomainError(f"cutoff must be non-negative, got {T!r}")
     if T == 0.0:
         return 0.0, 0.0
-    tol = 0.5 * cfg.abs_tol
+    tol = 0.5 * abs_tol
     # seed panels at roughly one per couple of radians of phase swing;
     # the swing must account for the dip down to the stationary point
     if f.sigma * f.x < 0.0:
@@ -148,7 +135,7 @@ def head_integral(f: OscillatoryIntegrand, T: float, cfg: QuadratureConfig = DEF
     nseed = int(min(64, max(4, swing / 2.0)))
     edges = np.linspace(0.0, T, nseed + 1)
     stack = [(edges[i], edges[i + 1]) for i in range(nseed)][::-1]
-    budget = cfg.head_panel_budget
+    budget = _HEAD_PANEL_BUDGET
     total = 0.0
     err = 0.0
     while stack:
@@ -305,7 +292,7 @@ def half_period_lumps(f: OscillatoryIntegrand, T: float, count: int) -> np.ndarr
     return out
 
 
-def _accelerate(lumps: np.ndarray, depth: int):
+def _accelerate(lumps: np.ndarray):
     """Iterated Aitken extrapolation of the lump partial sums.
 
     Partial sums and the whole table are kept in double-double pairs.
@@ -325,7 +312,7 @@ def _accelerate(lumps: np.ndarray, depth: int):
     best = float(0.5 * (sh[-1] + sh[-2]))
     best_err = float(0.5 * abs(sh[-1] - sh[-2]))
     prev_err = None
-    for _ in range(depth):
+    for _ in range(_ACCELERATION_DEPTH):
         if len(sh) < 3:
             break
         d1h, d1l = _dd_sub(sh[1:-1], sl[1:-1], sh[:-2], sl[:-2])
@@ -352,26 +339,26 @@ def _accelerate(lumps: np.ndarray, depth: int):
     return best, best_err
 
 
-def tail_integral(f: OscillatoryIntegrand, T: float, cfg: QuadratureConfig = DEFAULT_CONFIG):
-    """Accelerated integral of f over [T, inf).
+def tail_integral(f: OscillatoryIntegrand, T: float, abs_tol: float):
+    """Accelerated integral of f over [T, inf), to half of abs_tol.
 
     Returns (value, residual_estimate).  Lump counts grow geometrically
-    up to cfg.max_half_periods; the loop exits early once two successive
+    up to _MAX_HALF_PERIODS; the loop exits early once two successive
     estimates agree within their residuals and the tolerance is met.
     """
-    tol = 0.5 * cfg.abs_tol
+    tol = 0.5 * abs_tol
     counts = []
     c = 16
-    while c < cfg.max_half_periods:
+    while c < _MAX_HALF_PERIODS:
         counts.append(c)
         c *= 2
-    counts.append(cfg.max_half_periods)
+    counts.append(_MAX_HALF_PERIODS)
     prev_est = None
     best = None
     for count in counts:
         lumps = half_period_lumps(f, T, count)
         floor = _EPS * float(np.abs(lumps).sum())
-        est, resid = _accelerate(lumps, cfg.acceleration_depth)
+        est, resid = _accelerate(lumps)
         resid = max(resid, floor)
         if best is None or resid < best[1]:
             best = (est, resid)
@@ -383,18 +370,17 @@ def tail_integral(f: OscillatoryIntegrand, T: float, cfg: QuadratureConfig = DEF
     return best
 
 
-def v_pm(n: int, sigma: int, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> EvalResult:
+def v_pm(n: int, sigma: int, x: float, abs_tol: float = 1e-10) -> EvalResult:
     """(1/pi) int_0^inf cos(t^(n+1)/(n+1) + sigma x t) dt by head + tail.
 
     Raises ConvergenceError when head error plus tail residual misses
-    cfg.abs_tol.
+    abs_tol.
     """
-    f = OscillatoryIntegrand(n=n, sigma=sigma, x=float(x))
-    return _evaluate(f, cfg)
+    return v_pm_derivative(n, sigma, x, 0, abs_tol)
 
 
 def v_pm_derivative(
-    n: int, sigma: int, x: float, k: int, cfg: QuadratureConfig = DEFAULT_CONFIG
+    n: int, sigma: int, x: float, k: int, abs_tol: float = 1e-10
 ) -> EvalResult:
     """k-th x-derivative of v_pm, k = 0..n-1.
 
@@ -406,29 +392,28 @@ def v_pm_derivative(
     f = OscillatoryIntegrand(
         n=n, sigma=sigma, x=float(x), power=k, phase_offset=k * math.pi / 2.0
     )
-    res = _evaluate(f, cfg)
-    scale = float(sigma**k)
-    return replace(res, value=scale * res.value)
+    value, err = _head_tail(f, abs_tol)
+    if err > abs_tol:
+        raise ConvergenceError(
+            f"quadrature residual {err:.3e} above abs_tol={abs_tol:g} "
+            f"(n={n}, sigma={sigma:+d}, x={f.x:g}, k={k})"
+        )
+    return EvalResult(
+        value=float(sigma**k * value / math.pi),
+        error_estimate=float(err / math.pi),
+        method="quadrature",
+    )
 
 
-def _evaluate(f: OscillatoryIntegrand, cfg: QuadratureConfig) -> EvalResult:
+def _head_tail(f: OscillatoryIntegrand, abs_tol: float):
+    """Integral of f over [0, inf) and its error estimate, unscaled."""
     if f.sigma * f.x >= 1.0:
         T = 0.0  # phi' >= sigma*x > 0 everywhere, pure tail
     else:
         T = cutoff_T(f.n, f.x)
-    head, head_err = head_integral(f, T, cfg)
-    tail, tail_resid = tail_integral(f, T, cfg)
-    err = head_err + tail_resid
-    if err > cfg.abs_tol:
-        raise ConvergenceError(
-            f"quadrature residual {err:.3e} above abs_tol={cfg.abs_tol:g} "
-            f"(n={f.n}, sigma={f.sigma:+d}, x={f.x:g})"
-        )
-    return EvalResult(
-        value=float((head + tail) / math.pi),
-        error_estimate=float(err / math.pi),
-        method="quadrature",
-    )
+    head, head_err = head_integral(f, T, abs_tol)
+    tail, tail_resid = tail_integral(f, T, abs_tol)
+    return head + tail, head_err + tail_resid
 
 
 def moment_integral(n: int, k: int) -> float:
@@ -445,7 +430,7 @@ def moment_integral(n: int, k: int) -> float:
     return m ** (p - 1.0) * gamma(p) * math.cos((k + 1) * math.pi / (2 * m) + k * math.pi / 2)
 
 
-def moment_integral_numeric(n: int, k: int, cfg: QuadratureConfig | None = None):
+def moment_integral_numeric(n: int, k: int, abs_tol: float = 1e-8):
     """Same integral by head + accelerated tail; returns (value, residual).
 
     The t^k envelope makes the lumps decay like t^(k-n), slowly for
@@ -454,10 +439,6 @@ def moment_integral_numeric(n: int, k: int, cfg: QuadratureConfig | None = None)
     n = check_even_order(n)
     if not isinstance(k, int) or not 0 <= k <= n - 1:
         raise DomainError(f"moment order must lie in 0..{n - 1}, got {k!r}")
-    if cfg is None:
-        cfg = QuadratureConfig(abs_tol=1e-8)
     f = OscillatoryIntegrand(n=n, sigma=1, x=0.0, power=k, phase_offset=k * math.pi / 2.0)
-    T = cutoff_T(n, 0.0)
-    head, head_err = head_integral(f, T, cfg)
-    tail, tail_resid = tail_integral(f, T, cfg)
-    return float(head + tail), float(head_err + tail_resid)
+    value, err = _head_tail(f, abs_tol)
+    return float(value), float(err)

@@ -135,8 +135,11 @@ def _falling(j: int, k: int) -> float:
 def _sum_core(tm: TaylorModel, x: float, deriv: int, tol: float):
     """Neumaier-summed partial sum, |first omitted term|, sum|terms|.
 
-    Raises ConvergenceError when the geometric tail bound misses tol.
+    Raises DomainError for a non-finite x and ConvergenceError when the
+    geometric tail bound misses tol.
     """
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x!r}")
     n, K = tm.n, tm.K
     # tail control: the omitted coefficients repeat the block pattern
     # with block-to-block factor below rho for every index past K

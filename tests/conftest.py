@@ -44,7 +44,7 @@ def _taylor_sum(n, x, dps):
 
 
 @lru_cache(maxsize=None)
-def _reference(n, x):
+def _oracle_value(n, x):
     """v(x) at 60 digits plus the log10 of the largest Taylor term, so the
     series' cancellation never reaches the digits that are kept."""
     _, top = _taylor_sum(n, x, 15)
@@ -55,7 +55,7 @@ def oracle_error(n, x, value):
     """|value - v(x)| for the canonical solution of u^(n) = x u, without
     first rounding the reference to binary64."""
     with mp.workdps(40):
-        return float(abs(mp.mpf(value) - _reference(n, x)))
+        return float(abs(mp.mpf(value) - _oracle_value(n, x)))
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,7 @@ NEG_GRID = (-4.0, -6.0, -8.0, -10.0)
 AI_AT_6 = 9.947694360252889570239e-6
 
 
-def _reference(n, x):
+def _v_pm_reference(n, x):
     # series while cancellation is below 1e-3 relative, else quadrature
     try:
         res = eval_series(taylor_model(n), x)
@@ -67,14 +67,14 @@ def test_pos_side_anchor_m1():
 def test_pos_side_deviation_decreases_m1():
     devs = []
     for x in POS_GRID:
-        ref = _reference(2, x)
+        ref = _v_pm_reference(2, x)
         devs.append(abs(asympt_pos(1, x).value - ref) / abs(ref))
     assert devs[0] <= 0.01
     assert all(b < a for a, b in zip(devs, devs[1:]))
 
 
 def test_neg_side_amplitude_m1():
-    refs = [_reference(2, x) for x in NEG_GRID]
+    refs = [_v_pm_reference(2, x) for x in NEG_GRID]
     scale = max(abs(r) for r in refs)
     for x, r in zip(NEG_GRID, refs):
         assert abs(asympt_neg(1, x).value - r) <= 0.05 * scale
@@ -107,3 +107,16 @@ def test_wrong_side_rejected():
         asympt_neg(1, 2.0)
     with pytest.raises(DomainError):
         asympt_neg(0, -2.0)
+
+
+@pytest.mark.parametrize("x", [1e308, -1e308, -1e200, 1e-300, math.inf, -math.inf])
+def test_overflow_is_refused(x):
+    form = asympt_pos if x > 0.0 else asympt_neg
+    with pytest.raises(ConvergenceError):
+        form(1, x)
+
+
+def test_finite_where_representable():
+    res = asympt_pos(1, 1e200)  # underflows to an exact 0
+    assert (res.value, res.error_estimate) == (0.0, 0.0)
+    assert math.isfinite(asympt_neg(1, -1e-300).value)

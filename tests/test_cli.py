@@ -265,6 +265,33 @@ def test_asympt_compare_custom_points(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("side", ["pos", "neg"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_asympt_compare_reference_matches_oracle(capsys, oracle, m, side):
+    rc, out, _ = run(capsys, "asympt-compare", "--m", str(m), "--side", side)
+    assert rc == 0
+    rows = [line.split(",") for line in out.splitlines() if line[:1] in "-0123456789"]
+    assert len(rows) == 4
+    for x, _, reference, ref_method, _ in rows:
+        assert ref_method == "quadrature"
+        assert oracle(2 * m, float(x), float(reference)) <= 1e-10
+
+
+def test_asympt_compare_bad_x_list(capsys):
+    rc, out, err = run(
+        capsys, "asympt-compare", "--m", "1", "--side", "pos", "--x-list", "6,abc"
+    )
+    assert (rc, out) == (2, "")
+    assert "bad x-list" in err
+
+
+@pytest.mark.parametrize("x", ["1e308", "-1e308", "-1e200", "1e-300"])
+def test_asympt_overflow_is_refused(capsys, x):
+    rc, out, err = run(capsys, "eval", "--n", "2", f"--x={x}", "--method", "asympt")
+    assert (rc, out) == (3, "")
+    assert "error:" in err
+
+
 def test_repr_round_trip_of_csv_fields():
     # the CSV writer prints floats with repr; parsing must reproduce the
     # exact binary64, across magnitudes

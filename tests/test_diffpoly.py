@@ -100,6 +100,7 @@ def test_evaluate_short_jet_rejected():
 
 
 def test_bad_chain_index_rejected():
+    assert f_n(2) is f_n(2)  # cached, and the cache must not answer for 2.0
     for bad in (0, -3, 2.0):
         with pytest.raises(DomainError):
             f_n(bad)

@@ -141,6 +141,25 @@ def test_error_estimate_covers_true_error():
         assert abs(res.value - ref) <= 10.0 * res.error_estimate + 1e-15
 
 
+@pytest.mark.parametrize("x", [6.0, 8.0, 9.15])
+def test_error_estimate_bounds_oracle_error(oracle, x):
+    # the positive side cancels most; error in the initial values is
+    # amplified by that cancellation, so gamma must be accurate to ~1 ulp
+    res = eval_series(taylor_model(2), x, tol=1e-8)
+    assert oracle(2, x, res.value) <= res.error_estimate
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_x_is_a_domain_error(x):
+    tm = taylor_model(2)
+    with pytest.raises(DomainError, match="x must be finite"):
+        eval_series(tm, x)
+    with pytest.raises(DomainError, match="x must be finite"):
+        eval_derivative_series(tm, x, 1)
+    with pytest.raises(DomainError, match="x must be finite"):
+        riccati_solution(2, x)
+
+
 def test_tail_refusal_large_x():
     tm = taylor_model(2)
     with pytest.raises(ConvergenceError):
