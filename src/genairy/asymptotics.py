@@ -104,9 +104,21 @@ def asympt_neg(m: int, x: float) -> EvalResult:
     total = 0.0
     envelope = 0.0
     for k in range(m):
-        theta = (1 + 2 * k) * math.pi / (2 * m)
-        grow = _exp(alpha * math.cos(theta))
-        total += grow * math.sin(alpha * math.sin(theta) + (1 + 2 * k) * math.pi / (4 * m))
+        if 1 + 2 * k == m:
+            # theta = pi/2 exactly; math.cos(pi/2) is 6.1e-17, not 0
+            cos_t, sin_t = 0.0, 1.0
+        else:
+            theta = (1 + 2 * k) * math.pi / (2 * m)
+            cos_t, sin_t = math.cos(theta), math.sin(theta)
+        grow = _exp(alpha * cos_t)
+        total += grow * math.sin(alpha * sin_t + (1 + 2 * k) * math.pi / (4 * m))
         envelope += grow
+    # the phase carries a few roundings of alpha: the 2m/(2m+1) factor,
+    # the power, the products and the pi/(4m) offset
+    phase_err = 4.0 * math.ulp(alpha)
+    if phase_err >= 1.0:
+        raise ConvergenceError(
+            f"asymptotic phase has no correct digits at x={x!r} (m={m}, alpha={alpha:g})"
+        )
     # heuristic: one inverse power of the phase scale off the envelope
-    return _result(m, x, pref * total, pref * envelope / max(alpha, 1.0))
+    return _result(m, x, pref * total, pref * envelope * (1.0 / max(alpha, 1.0) + phase_err))

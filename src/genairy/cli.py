@@ -16,6 +16,10 @@ tol 1e-10 (``method="quad"``).  The paper's head+lump quadrature
 (:func:`genairy.quadrature.v_pm`) is the independent cross-check in
 verify.  This module only parses arguments and formats output.
 
+The argument parser is built once per process, on the first call of
+:func:`main`, and reused by every later call; parsing never changes it,
+so each call sees only its own arguments and its subcommand's defaults.
+
 Data goes to stdout and is byte-deterministic for a given command line;
 errors go to stderr.  Floats are printed with repr, which round-trips
 binary64 exactly.
@@ -27,6 +31,7 @@ Exit codes: 0 success, 1 verification failure, 2 bad usage or domain,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -235,7 +240,8 @@ def cmd_asympt_compare(args) -> int:
     return 0 if ok else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="genairy",
         description="Solutions of u^(n) = x u for even n, three ways, "
@@ -306,7 +312,7 @@ def main(argv=None) -> int:
     for i in range(len(argv) - 1, 0, -1):
         if argv[i - 1].startswith("--") and _NEGATIVE_EXPONENT_FORM.fullmatch(argv[i]):
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except DomainError as exc:

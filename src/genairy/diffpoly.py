@@ -53,10 +53,11 @@ class DiffPolynomial:
     """Integer-coefficient polynomial in y, y', y'', ...
 
     ``terms`` maps a normalized exponent tuple to its coefficient.
-    Instances are immutable in spirit; all operations return new objects.
+    Instances are immutable: all operations return new objects, and the
+    graded term order is computed once, on first use, and kept.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_width", "_order")
 
     def __init__(self, terms: Mapping[Monomial, int]):
         clean: dict[Monomial, int] = {}
@@ -65,6 +66,8 @@ class DiffPolynomial:
                 continue
             clean[_normalize(exps)] = int(coeff)
         self.terms = clean
+        self._width = max(map(len, clean), default=0)
+        self._order = None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DiffPolynomial) and self.terms == other.terms
@@ -80,21 +83,21 @@ class DiffPolynomial:
 
     def max_derivative_index(self) -> int:
         """Highest i such that y^{(i)} appears (0 for a plain power of y)."""
-        if not self.terms:
-            return 0
-        return max(len(exps) for exps in self.terms) - 1
+        return self._width - 1 if self.terms else 0
 
-    def sorted_terms(self) -> list[tuple[Monomial, int]]:
+    def sorted_terms(self) -> tuple[tuple[Monomial, int], ...]:
         """Terms in graded order: total degree ascending, then earlier
         factors (higher powers of low derivatives) first."""
-        width = max((len(e) for e in self.terms), default=0)
+        if self._order is None:
+            width = self._width
 
-        def key(item):
-            exps, _ = item
-            padded = tuple(-e for e in exps) + (0,) * (width - len(exps))
-            return (sum(exps), padded)
+            def key(item):
+                exps, _ = item
+                padded = tuple(-e for e in exps) + (0,) * (width - len(exps))
+                return (sum(exps), padded)
 
-        return sorted(self.terms.items(), key=key)
+            self._order = tuple(sorted(self.terms.items(), key=key))
+        return self._order
 
 
 @dataclass(frozen=True)

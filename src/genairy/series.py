@@ -15,12 +15,19 @@ so a_j = 0 exactly on the lattice j = n mod (n+1).  Summation is
 compensated (Neumaier) and tracks sum(|terms|) so the result carries an
 honest cancellation term in its error estimate; evaluation refuses when
 the omitted tail cannot be bounded below the tolerance.
+
+The k-th derivative is summed term by term, a_j j!/(j-k)! x^(j-k).  A
+model keeps one table per derivative order k of the premultiplied
+coefficients a_j j!/(j-k)! with their powers j - k, over the nonzero
+a_j of the body and of the tail block.  A table is built on the first
+sum of that order and lives as long as the model; k <= K bounds their
+number.  ``eval_series`` is the k = 0 case of the same sum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .common import ConvergenceError, DomainError, EvalResult, PoleError, check_even_order
@@ -64,7 +71,9 @@ class TaylorModel:
     """Coefficients a_j of sum a_j x^j through degree K.
 
     ``tail_block`` holds a_{K+1}..a_{K+n+1}; one full recurrence period
-    past the truncation, used only for tail bounds.
+    past the truncation, used only for tail bounds.  The derivative
+    tables of ``_table`` are cached on the model and are not part of
+    its value.
     """
 
     n: int
@@ -72,6 +81,7 @@ class TaylorModel:
     K: int
     a: tuple[float, ...]
     tail_block: tuple[float, ...]
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def initial_values(n: int, sigma: int) -> InitialValues:
@@ -90,8 +100,12 @@ def initial_values(n: int, sigma: int) -> InitialValues:
     for k in range(n):
         p = (n - k) / m
         amp = m ** (-p) / gamma(p)
-        ang = (k + 1) * math.pi / (2 * m) + k * math.pi / 2
-        vals.append(sigma**k * amp * math.cos(ang) / math.sin((k + 1) * math.pi / m))
+        # cos(d + k pi/2) / sin(2d) with d = (k+1) pi/(2m), reduced exactly:
+        # 1/(2 sin d) for even k, 1/(2 cos d) = 1/(2 sin((m-k-1) pi/(2m)))
+        # for odd k, negative for k = 1, 2 mod 4; so only one angle rounds
+        num = k + 1 if k % 2 == 0 else m - k - 1
+        sign = -1.0 if k % 4 in (1, 2) else 1.0
+        vals.append(sigma**k * sign * amp / (2.0 * math.sin(num * math.pi / (2 * m))))
     return InitialValues(n=n, sigma=sigma, values=tuple(vals))
 
 
@@ -132,9 +146,29 @@ def _falling(j: int, k: int) -> float:
     return out
 
 
-def _sum_core(tm: TaylorModel, x: float, deriv: int, tol: float):
-    """Neumaier-summed partial sum, |first omitted term|, sum|terms|.
+def _table(tm: TaylorModel, k: int):
+    """Coefficients a_j j!/(j-k)! and powers j - k of the k-th derivative
+    over the nonzero a_j with j >= k, body and tail block; built once per
+    model and order."""
+    tables = tm._tables.get(k)
+    if tables is None:
+        # c * _falling(j, k) is the factor the term-by-term sum
+        # c * _falling(j, k) * x ** (j - k) forms first, so premultiplying
+        # leaves every term bit-identical
+        def columns(indexed):
+            terms = [(j, c) for j, c in indexed if j >= k and c != 0.0]
+            return tuple(c * _falling(j, k) for j, c in terms), tuple(j - k for j, _ in terms)
 
+        tables = columns(enumerate(tm.a)) + columns(enumerate(tm.tail_block, tm.K + 1))
+        tm._tables[k] = tables
+    return tables
+
+
+def _sum_core(tm: TaylorModel, x: float, deriv: int, tol: float):
+    """Neumaier-summed partial sum, its error estimate, and sum|terms|.
+
+    error estimate = |first omitted nonzero term| + eps * sum|terms|;
+    the second piece is the cancellation floor of the alternating sum.
     Raises DomainError for a non-finite x and ConvergenceError when the
     geometric tail bound misses tol.
     """
@@ -155,36 +189,32 @@ def _sum_core(tm: TaylorModel, x: float, deriv: int, tol: float):
         # refused before the terms are formed, so x ** j cannot overflow
         raise _tail_refusal(tm, x, deriv, tol)
 
+    body_c, body_p, tail_c, tail_p = _table(tm, deriv)
     total = 0.0
     comp = 0.0
     absum = 0.0
-    for j in range(deriv, K + 1):
-        c = tm.a[j]
-        if c == 0.0:
-            continue
-        t = c * _falling(j, deriv) * x ** (j - deriv)
+    for c, p in zip(body_c, body_p):
+        t = c * x**p
+        at = abs(t)
         s = total + t
-        if abs(total) >= abs(t):
+        if abs(total) >= at:
             comp += (total - s) + t
         else:
             comp += (t - s) + total
         total = s
-        absum += abs(t)
+        absum += at
     value = total + comp
 
     first_omitted = 0.0
     block = 0.0
-    for i, c in enumerate(tm.tail_block):
-        j = K + 1 + i
-        if c == 0.0:
-            continue
-        t = abs(c * _falling(j, deriv) * x ** (j - deriv))
+    for c, p in zip(tail_c, tail_p):
+        t = abs(c * x**p)
         block += t
         if first_omitted == 0.0:
             first_omitted = t
     if block / (1.0 - rho) > tol:
         raise _tail_refusal(tm, x, deriv, tol)
-    return value, first_omitted, absum
+    return value, first_omitted + _EPS * absum, absum
 
 
 def _tail_refusal(tm: TaylorModel, x: float, deriv: int, tol: float) -> ConvergenceError:
@@ -194,14 +224,18 @@ def _tail_refusal(tm: TaylorModel, x: float, deriv: int, tol: float) -> Converge
     )
 
 
+def _series(tm: TaylorModel, x: float, k: int, tol: float) -> EvalResult:
+    value, estimate, _ = _sum_core(tm, float(x), k, tol)
+    return EvalResult(value=value, error_estimate=estimate, method="series")
+
+
 def eval_series(tm: TaylorModel, x: float, tol: float = 1e-10) -> EvalResult:
-    """Sum the model at x.
+    """Sum the model at x: :func:`eval_derivative_series` with k = 0.
 
     error_estimate = |first omitted nonzero term| + eps * sum|terms|;
     the second piece is the cancellation floor of the alternating sum.
     """
-    value, first_omitted, absum = _sum_core(tm, float(x), 0, tol)
-    return EvalResult(value=value, error_estimate=first_omitted + _EPS * absum, method="series")
+    return _series(tm, x, 0, tol)
 
 
 def eval_derivative_series(tm: TaylorModel, x: float, k: int, tol: float = 1e-10) -> EvalResult:
@@ -210,8 +244,7 @@ def eval_derivative_series(tm: TaylorModel, x: float, k: int, tol: float = 1e-10
         raise DomainError(f"derivative order must be a non-negative integer, got {k!r}")
     if k > tm.K:
         raise DomainError(f"derivative order {k} exceeds truncation degree {tm.K}")
-    value, first_omitted, absum = _sum_core(tm, float(x), k, tol)
-    return EvalResult(value=value, error_estimate=first_omitted + _EPS * absum, method="series")
+    return _series(tm, x, k, tol)
 
 
 def riccati_solution(n: int, x: float, K: int = DEFAULT_K, tol: float = 1e-10) -> EvalResult:
@@ -228,13 +261,11 @@ def riccati_solution(n: int, x: float, K: int = DEFAULT_K, tol: float = 1e-10) -
     n = check_even_order(n)
     tm = taylor_model(n, K)
     xf = float(x)
-    u, u_tail, u_absum = _sum_core(tm, xf, 0, tol)
+    u, err_u, u_absum = _sum_core(tm, xf, 0, tol)
     if abs(u) < 1e4 * _EPS * u_absum:
         raise PoleError(f"u({x!r}) is below the cancellation floor, u'/u has a pole")
-    up, up_tail, up_absum = _sum_core(tm, xf, 1, tol)
+    up, err_up, _ = _sum_core(tm, xf, 1, tol)
     y = up / u
-    err_u = u_tail + _EPS * u_absum
-    err_up = up_tail + _EPS * up_absum
     return EvalResult(
         value=y,
         error_estimate=(err_up + abs(y) * err_u) / abs(u),

@@ -61,3 +61,15 @@ def oracle_error(n, x, value):
 @pytest.fixture(scope="session")
 def oracle():
     return oracle_error
+
+
+@pytest.fixture(scope="session")
+def initial_oracle():
+    """v^(k)(0), k < n, of the canonical solution, at 40 digits."""
+
+    def values(n):
+        with mp.workdps(40):
+            coeffs = _initial_coefficients(n, 40)
+            return tuple(coeffs[k] * mp.factorial(k) for k in range(n))
+
+    return values

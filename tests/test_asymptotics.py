@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -120,3 +121,31 @@ def test_finite_where_representable():
     res = asympt_pos(1, 1e200)  # underflows to an exact 0
     assert (res.value, res.error_estimate) == (0.0, 0.0)
     assert math.isfinite(asympt_neg(1, -1e-300).value)
+
+
+def _neg_form_mp(m, x):
+    """The oscillatory-side form of asympt_neg at 60 digits, at exact x."""
+    with mp.workdps(60):
+        ax = -mp.mpf(x)
+        alpha = mp.mpf(2 * m) / (2 * m + 1) * ax ** (mp.mpf(2 * m + 1) / (2 * m))
+        pref = 1 / (mp.sqrt(mp.pi) * mp.sqrt(m) * ax ** (mp.mpf(2 * m - 1) / (4 * m)))
+        total = 0
+        for k in range(m):
+            theta = (1 + 2 * k) * mp.pi / (2 * m)
+            total += mp.exp(alpha * mp.cos(theta)) * mp.sin(
+                alpha * mp.sin(theta) + (1 + 2 * k) * mp.pi / (4 * m)
+            )
+        return pref * total
+
+
+@pytest.mark.parametrize("x", [-1e6, -1e8, -1e10])
+def test_neg_form_within_estimate_at_large_x(x):
+    # the phase alpha + pi/4 keeps a few ulp(alpha) of rounding
+    res = asympt_neg(1, x)
+    with mp.workdps(60):
+        assert abs(mp.mpf(res.value) - _neg_form_mp(1, x)) <= res.error_estimate
+
+
+def test_neg_phase_without_digits_is_refused():
+    with pytest.raises(ConvergenceError, match="no correct digits"):
+        asympt_neg(1, -1e12)

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from genairy import eval_series, sign_for, taylor_model, v_contour
-from genairy.cli import CSV_HEADER, main
+import genairy
+from genairy import eval_series, sign_for, solution, taylor_model, v_contour
+from genairy.cli import CSV_HEADER, _record, main
 
 
 def run(capsys, *argv):
@@ -290,6 +295,44 @@ def test_asympt_overflow_is_refused(capsys, x):
     rc, out, err = run(capsys, "eval", "--n", "2", f"--x={x}", "--method", "asympt")
     assert (rc, out) == (3, "")
     assert "error:" in err
+
+
+def test_asympt_without_phase_digits_is_refused(capsys):
+    rc, out, err = run(capsys, "eval", "--n", "2", "--x", "-1e12", "--method", "asympt")
+    assert (rc, out) == (3, "")
+    assert "no correct digits" in err
+
+
+def test_verify_tol_does_not_leak_into_eval(capsys):
+    assert run(capsys, "verify", "--n", "2", "--steps", "2")[0] == 0
+    # at x = 10 the series meets tol 1e-6 but not the eval default 1e-8
+    rc, out, _ = run(capsys, "eval", "--n", "2", "--x", "10.0")
+    assert rc == 0
+    assert out == _record(2, 10.0, solution(2, 10.0, tol=1e-8)) + "\n"
+    assert out.split(",")[2] == "quadrature"
+
+
+def test_repeated_table_matches_fresh_process(capsys):
+    argv = ("table", "--n", "6", "--x-min", "-12", "--x-max", "12", "--steps", "24")
+    first = run(capsys, *argv)
+    second = run(capsys, *argv)
+    src = str(Path(genairy.__file__).resolve().parents[1])
+    fresh = subprocess.run(
+        [sys.executable, "-m", "genairy", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert first == second == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert first[0] == 0
+
+
+def test_usage_error_after_good_call(capsys):
+    assert run(capsys, "eval", "--n", "2", "--x", "1.0")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--n", "2"])
+    assert exc.value.code == 2
 
 
 def test_repr_round_trip_of_csv_fields():

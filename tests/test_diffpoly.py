@@ -81,6 +81,14 @@ def test_json_terms_golden():
     assert names == [(0, 0, 0, 1), (1, 0, 1), (0, 2), (2, 1), (4,)]
 
 
+def test_term_order_is_kept():
+    # computed once per instance, and independent of the insertion order
+    p = f_n(6)
+    order = p.sorted_terms()
+    assert p.sorted_terms() is order
+    assert DiffPolynomial(dict(reversed(order))).sorted_terms() == order
+
+
 def test_render_higher_derivative_notation():
     # primes through the third derivative, then y^{(k)}
     assert render(f_n(5)).startswith("y^{(4)}")

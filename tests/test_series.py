@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special
@@ -66,6 +67,15 @@ def test_initial_values_closed_form(key):
     n, sigma = key
     iv = initial_values(n, sigma)
     np.testing.assert_allclose(iv.values, INITIAL_KNOWN[key], rtol=1e-10)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+def test_initial_values_within_five_units(initial_oracle, n):
+    # the angle is reduced exactly, so only amplitude and one sine round
+    got = initial_values(n, sign_for(n)).values
+    for v, ref in zip(got, initial_oracle(n)):
+        with mp.workdps(40):
+            assert abs(mp.mpf(v) - ref) <= 5 * mp.mpf(2) ** -53 * abs(ref)
 
 
 def test_initial_values_sigma_parity():
@@ -199,3 +209,72 @@ def test_riccati_pole_detected():
 def test_taylor_coefficients_validation():
     with pytest.raises(DomainError):
         taylor_coefficients(initial_values(4, -1), K=3)
+
+
+def _falling_reference(j, k):
+    out = 1.0
+    for i in range(k):
+        out *= j - i
+    return out
+
+
+def _sum_reference(tm, x, k, tol):
+    """The term-by-term sum with j!/(j-k)! formed for every term: value
+    and error estimate, or None where it refuses."""
+    n, K = tm.n, tm.K
+    jm = K + 1 - n
+    rho = 1.0
+    for l in range(1, n + 1):
+        rho *= abs(x) / (jm + l)
+    rho *= abs(x)
+    if k:
+        rho *= ((jm + n + 1) / max(jm - k, 1)) ** k
+    if rho >= 1.0:
+        return None
+    total = comp = absum = 0.0
+    for j in range(k, K + 1):
+        c = tm.a[j]
+        if c == 0.0:
+            continue
+        t = c * _falling_reference(j, k) * x ** (j - k)
+        s = total + t
+        if abs(total) >= abs(t):
+            comp += (total - s) + t
+        else:
+            comp += (t - s) + total
+        total = s
+        absum += abs(t)
+    first_omitted = block = 0.0
+    for i, c in enumerate(tm.tail_block):
+        j = K + 1 + i
+        if c == 0.0:
+            continue
+        t = abs(c * _falling_reference(j, k) * x ** (j - k))
+        block += t
+        if first_omitted == 0.0:
+            first_omitted = t
+    if block / (1.0 - rho) > tol:
+        return None
+    return total + comp, first_omitted + math.ulp(1.0) * absum
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+def test_derivative_tables_are_bit_identical(n, tol):
+    tm = taylor_model(n)
+    outcomes = set()
+    xs = [-12.0 + 0.5 * i for i in range(49)] + [-40.0, 40.0]
+    for k in range(n + 2):
+        for x in xs:
+            ref = _sum_reference(tm, x, k, tol)
+            outcomes.add(ref is None)
+            if ref is None:
+                with pytest.raises(ConvergenceError):
+                    eval_derivative_series(tm, x, k, tol)
+                continue
+            res = eval_derivative_series(tm, x, k, tol)
+            assert (res.value, res.error_estimate) == ref
+            if k == 0:
+                res = eval_series(tm, x, tol)
+                assert (res.value, res.error_estimate) == ref
+    assert outcomes == {True, False}
